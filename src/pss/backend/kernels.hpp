@@ -223,19 +223,24 @@ struct StdpFlushArgs {
   std::atomic<std::uint64_t>* applied = nullptr;
 };
 
-/// Conv-accumulate (layer-graph front-end): gather one step's active input
+/// Conv-accumulate (layer-graph front-end): scatter one step's active input
 /// spikes through a fixed filter bank into per-conv-unit synaptic currents.
-/// One logical thread per output unit (filter f, output row oy, column ox);
-/// unit u covers the input window [oy·stride, oy·stride+kernel) ×
-/// [ox·stride, ox·stride+kernel) in every input channel plane:
+/// Unit u = (filter f, output row oy, column ox) covers the input window
+/// [oy·stride, oy·stride+kernel) × [ox·stride, ox·stride+kernel) in every
+/// input channel plane:
 ///
 ///   I[u] = I[u]·decay + amplitude · Σ_{p ∈ active ∩ window(u)} W_f[tap(p)]
 ///
-/// (decay_factor == 0 clears first). `active_pre` is ascending and each
-/// unit's taps accumulate in that order on EVERY backend — a fixed
-/// association, so cpu / cpu_simd / cpu_sparse results are bitwise equal
-/// (asserted by tests/test_backend.cpp), and worker-count invariant (thread
-/// u writes only currents[u]).
+/// Cost scales with spikes, not units: each active pixel (y, x) visits only
+/// the units whose window covers it, oy ∈ [⌈(y+1−kernel)/stride⌉,
+/// min(⌊y/stride⌋+1, out_height)) and likewise for ox, adding its tap into
+/// `accumulator[u]`; a final pass applies the expression above. One logical
+/// thread per filter plane (thread f writes only plane f of `accumulator`
+/// and `currents`), so results are worker-count invariant. `active_pre` is
+/// ascending and every unit receives its taps in that order — the same
+/// association as a per-unit gather, so results are bitwise equal to one
+/// (asserted against a test-only gather oracle in
+/// tests/test_prop_differential.cpp).
 struct ConvAccumulateArgs {
   std::span<const double> filters;  ///< [f][c][ky][kx], f-major
   std::size_t filter_count = 0;
@@ -252,18 +257,21 @@ struct ConvAccumulateArgs {
   double amplitude = 0.0;
   double decay_factor = 0.0;  ///< current decay applied before accumulation
   std::span<double> currents;  ///< conv unit currents, (f, oy, ox)
+  std::span<double> accumulator;  ///< scratch, same size as currents
 };
 
-/// Spatial spike pooling (layer-graph front-end): OR-reduce each
-/// non-overlapping `window`×`window` block of a spike-flag plane, per
-/// channel. One logical thread per pooled unit; edge blocks clip. When
-/// `pooled_counts` is non-empty it accumulates fired pooled units
-/// (+1 per step a unit's window contained a spike) — the per-presentation
-/// activity the next layer's rate recoding reads. Pure integer/flag work:
+/// Spatial spike pooling (layer-graph front-end): a pooled unit fires iff
+/// any unit of its non-overlapping `window`×`window` input block fired this
+/// step (per channel; edge blocks clip). Event-driven: the kernel clears
+/// `pooled`, then sets the flag of each fired input's block. When
+/// `pooled_counts` is non-empty it accumulates fired pooled units (+1 the
+/// first time a block is set in a step) — the per-presentation activity the
+/// next layer's rate recoding reads. Pure integer/flag work:
 /// bitwise-identical on every backend and worker count.
 struct PoolForwardArgs {
-  std::span<const std::uint8_t> spiked;  ///< input flags, (c, y, x)
-  std::size_t channels = 0;
+  /// Fired input units this step, flattened (c·in_height + y)·in_width + x,
+  /// ascending — the previous layer's compacted spike list.
+  std::span<const ChannelIndex> fired;
   std::size_t in_width = 0;
   std::size_t in_height = 0;
   std::size_t window = 2;  ///< pooling window side == stride
@@ -336,10 +344,9 @@ struct KernelTable {
   void (*inhibit_scan)(Engine&, const InhibitScanArgs&) = nullptr;
   void (*stdp_row)(Engine&, const StdpRowArgs&) = nullptr;
 
-  // Layer-graph front-end kernels (conv filter-bank accumulate + spatial
-  // spike pooling). Registered on every backend; cpu_simd overrides
-  // conv_accumulate with a spatially-hoisted variant (same association —
-  // bitwise-equal results).
+  // Layer-graph front-end kernels (conv filter-bank scatter + fired-list
+  // spike pooling). Event-driven already, so one implementation serves
+  // every backend (kernels_cpu.cpp).
   void (*conv_accumulate)(Engine&, const ConvAccumulateArgs&) = nullptr;
   void (*pool_forward)(Engine&, const PoolForwardArgs&) = nullptr;
 

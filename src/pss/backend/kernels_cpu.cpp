@@ -4,7 +4,8 @@
 // identical floating-point operation order, identical launch tags — so the
 // cpu backend reproduces the original code bit for bit at any worker count
 // (tests/test_backend.cpp asserts this; the network/worker-invariance suites
-// pass unmodified on top of it).
+// pass unmodified on top of it). The layer-graph front-end kernels (conv
+// scatter, fired-list pooling) are event-driven and shared by every backend.
 #include <algorithm>
 #include <cmath>
 #include <limits>
@@ -245,67 +246,89 @@ void stdp_row_cpu(Engine& engine, const StdpRowArgs& a) {
   });
 }
 
+/// Output positions whose window [o·stride, o·stride+kernel) covers input
+/// coordinate `i`, as the half-open range [first, last) clipped to `out`.
+/// Empty (first >= last) when `i` sits in a stride gap or past the last
+/// window.
+struct CoverRange {
+  std::size_t first;
+  std::size_t last;
+};
+
+CoverRange covering_windows(std::size_t i, std::size_t kernel,
+                            std::size_t stride, std::size_t out) {
+  const std::size_t first =
+      i + 1 > kernel ? (i + 1 - kernel + stride - 1) / stride : 0;
+  return {first, std::min(i / stride + 1, out)};
+}
+
 void conv_accumulate_cpu(Engine& engine, const ConvAccumulateArgs& a) {
   const auto currents = a.currents;
+  const auto accumulator = a.accumulator;
   const auto active = a.active_pre;
   const auto filters = a.filters;
   const std::size_t kernel = a.kernel;
   const std::size_t stride = a.stride;
   const std::size_t in_w = a.in_width;
   const std::size_t in_plane = a.in_width * a.in_height;
-  const std::size_t out_plane = a.out_width * a.out_height;
+  const std::size_t out_w = a.out_width;
+  const std::size_t out_h = a.out_height;
+  const std::size_t out_plane = out_w * out_h;
   const std::size_t taps = a.in_channels * kernel * kernel;
   const double amplitude = a.amplitude;
   const double decay = a.decay_factor;
 
-  // Reference gather: one logical thread per conv unit, scanning the step's
-  // active list in ascending order and accumulating the taps that fall in
-  // the unit's window. The fixed per-unit association (active order) is the
-  // cross-backend bitwise contract.
-  engine.launch("graph.conv", a.filter_count * out_plane, [&](std::size_t u) {
-    const std::size_t f = u / out_plane;
-    const std::size_t rem = u % out_plane;
-    const std::size_t y0 = (rem / a.out_width) * stride;
-    const std::size_t x0 = (rem % a.out_width) * stride;
+  // Scatter: one logical thread per filter plane. Each active pixel, in
+  // ascending order, adds its tap into every unit whose window covers it,
+  // so each unit sums its taps in active order — a per-unit gather's exact
+  // association, at a cost proportional to spikes × covering windows.
+  engine.launch("graph.conv", a.filter_count, [&](std::size_t f) {
+    double* acc = accumulator.data() + f * out_plane;
+    std::fill_n(acc, out_plane, 0.0);
     const double* w = filters.data() + f * taps;
-    double acc = 0.0;
     for (const ChannelIndex p : active) {
       const std::size_t c = p / in_plane;
       const std::size_t q = p % in_plane;
       const std::size_t y = q / in_w;
       const std::size_t x = q % in_w;
-      if (y < y0 || y >= y0 + kernel || x < x0 || x >= x0 + kernel) continue;
-      acc += w[(c * kernel + (y - y0)) * kernel + (x - x0)];
+      const CoverRange rows = covering_windows(y, kernel, stride, out_h);
+      const CoverRange cols = covering_windows(x, kernel, stride, out_w);
+      for (std::size_t oy = rows.first; oy < rows.last; ++oy) {
+        const double* w_row = w + (c * kernel + (y - oy * stride)) * kernel;
+        double* acc_row = acc + oy * out_w;
+        for (std::size_t ox = cols.first; ox < cols.last; ++ox) {
+          acc_row[ox] += w_row[x - ox * stride];
+        }
+      }
     }
-    currents[u] = currents[u] * decay + amplitude * acc;
+    double* cur = currents.data() + f * out_plane;
+    for (std::size_t i = 0; i < out_plane; ++i) {
+      cur[i] = cur[i] * decay + amplitude * acc[i];
+    }
   });
 }
 
-void pool_forward_cpu(Engine& engine, const PoolForwardArgs& a) {
-  const auto spiked = a.spiked;
+void pool_forward_cpu(Engine&, const PoolForwardArgs& a) {
   const auto pooled = a.pooled;
   const auto counts = a.pooled_counts;
   const std::size_t window = a.window;
   const std::size_t in_w = a.in_width;
-  const std::size_t in_h = a.in_height;
-  const std::size_t in_plane = in_w * in_h;
-  const std::size_t out_plane = a.out_width * a.out_height;
+  const std::size_t in_plane = in_w * a.in_height;
+  const std::size_t out_w = a.out_width;
+  const std::size_t out_plane = out_w * a.out_height;
 
-  engine.launch("graph.pool", a.channels * out_plane, [&](std::size_t u) {
-    const std::size_t c = u / out_plane;
-    const std::size_t rem = u % out_plane;
-    const std::size_t y0 = (rem / a.out_width) * window;
-    const std::size_t x0 = (rem % a.out_width) * window;
-    const std::size_t y1 = std::min(y0 + window, in_h);
-    const std::size_t x1 = std::min(x0 + window, in_w);
-    std::uint8_t any = 0;
-    for (std::size_t y = y0; y < y1; ++y) {
-      const std::uint8_t* row = spiked.data() + c * in_plane + y * in_w;
-      for (std::size_t x = x0; x < x1; ++x) any |= row[x];
-    }
-    pooled[u] = any ? 1 : 0;
-    if (!counts.empty() && any) ++counts[u];
-  });
+  // Event-driven OR-reduce: a serial sweep of the fired list, touching only
+  // the blocks that contain a spike. Counts rise once per block per step.
+  std::ranges::fill(pooled, std::uint8_t{0});
+  for (const ChannelIndex p : a.fired) {
+    const std::size_t c = p / in_plane;
+    const std::size_t q = p % in_plane;
+    const std::size_t u =
+        c * out_plane + (q / in_w / window) * out_w + (q % in_w) / window;
+    if (pooled[u] != 0) continue;
+    pooled[u] = 1;
+    if (!counts.empty()) ++counts[u];
+  }
 }
 
 }  // namespace

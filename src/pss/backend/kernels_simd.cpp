@@ -243,89 +243,6 @@ void stdp_row_simd(Engine& engine, const StdpRowArgs& a) {
   });
 }
 
-/// Spatially-hoisted conv accumulate: one logical thread per OUTPUT POSITION
-/// (not per unit). The window-membership test and tap offset of each active
-/// input are computed once and reused across the whole filter bank (the
-/// reference gather redoes them per filter), with the bank processed in
-/// fixed-size register blocks. Per (filter, position) unit the taps still
-/// accumulate in ascending active order — the same association as the
-/// reference kernel, so results are bitwise equal (tests/test_backend.cpp).
-void conv_accumulate_simd(Engine& engine, const ConvAccumulateArgs& a) {
-  const auto currents = a.currents;
-  const auto active = a.active_pre;
-  const auto filters = a.filters;
-  const std::size_t kernel = a.kernel;
-  const std::size_t stride = a.stride;
-  const std::size_t in_w = a.in_width;
-  const std::size_t in_plane = a.in_width * a.in_height;
-  const std::size_t out_plane = a.out_width * a.out_height;
-  const std::size_t taps = a.in_channels * kernel * kernel;
-  const std::size_t filter_count = a.filter_count;
-  const double amplitude = a.amplitude;
-  const double decay = a.decay_factor;
-
-  constexpr std::size_t kFilterBlock = 16;  // accumulators held on the stack
-
-  engine.launch("graph.conv", out_plane, [&](std::size_t s) {
-    const std::size_t y0 = (s / a.out_width) * stride;
-    const std::size_t x0 = (s % a.out_width) * stride;
-    // Hoisted geometry: tap index of every in-window active input, computed
-    // once for all filters (the reference gather redoes this per filter).
-    // Stack slots, no heap; overflow falls back to the reference gather.
-    std::size_t hit_tap[64];
-    std::size_t hits = 0;
-    bool overflow = false;
-    for (const ChannelIndex p : active) {
-      const std::size_t c = p / in_plane;
-      const std::size_t q = p % in_plane;
-      const std::size_t y = q / in_w;
-      const std::size_t x = q % in_w;
-      if (y < y0 || y >= y0 + kernel || x < x0 || x >= x0 + kernel) continue;
-      if (hits == 64) {
-        overflow = true;
-        break;
-      }
-      hit_tap[hits++] = (c * kernel + (y - y0)) * kernel + (x - x0);
-    }
-
-    if (overflow) {
-      // Slow path (more than 64 in-window active inputs in one step): the
-      // reference per-filter gather, same association.
-      for (std::size_t f = 0; f < filter_count; ++f) {
-        const double* w = filters.data() + f * taps;
-        double acc = 0.0;
-        for (const ChannelIndex p : active) {
-          const std::size_t c = p / in_plane;
-          const std::size_t q = p % in_plane;
-          const std::size_t y = q / in_w;
-          const std::size_t x = q % in_w;
-          if (y < y0 || y >= y0 + kernel || x < x0 || x >= x0 + kernel) {
-            continue;
-          }
-          acc += w[(c * kernel + (y - y0)) * kernel + (x - x0)];
-        }
-        const std::size_t u = f * out_plane + s;
-        currents[u] = currents[u] * decay + amplitude * acc;
-      }
-      return;
-    }
-
-    for (std::size_t f0 = 0; f0 < filter_count; f0 += kFilterBlock) {
-      const std::size_t fn = std::min(kFilterBlock, filter_count - f0);
-      double acc[kFilterBlock] = {};
-      for (std::size_t h = 0; h < hits; ++h) {
-        const std::size_t tap = hit_tap[h];
-        const double* w = filters.data() + f0 * taps + tap;
-        for (std::size_t j = 0; j < fn; ++j) acc[j] += w[j * taps];
-      }
-      for (std::size_t j = 0; j < fn; ++j) {
-        const std::size_t u = (f0 + j) * out_plane + s;
-        currents[u] = currents[u] * decay + amplitude * acc[j];
-      }
-    }
-  });
-}
-
 }  // namespace
 
 const KernelTable& cpu_simd_kernel_table() {
@@ -334,7 +251,6 @@ const KernelTable& cpu_simd_kernel_table() {
     t.lif_step_fused = lif_step_fused_simd;
     t.izhikevich_step_fused = izhikevich_step_fused_simd;
     t.stdp_row = stdp_row_simd;
-    t.conv_accumulate = conv_accumulate_simd;
     return t;
   }();
   return table;

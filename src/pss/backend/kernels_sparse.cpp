@@ -476,11 +476,9 @@ void stdp_flush_cpu(Engine& engine, const StdpFlushArgs& a) {
 const KernelTable& cpu_sparse_kernel_table() {
   static const KernelTable table = [] {
     KernelTable t = cpu_kernel_table();  // dense slots: reference kernels
-    // conv_accumulate / pool_forward also inherit the reference gather: on
-    // this backend the layer graph feeds them per-step SLICES of the
-    // presentation's SpikeEventList (inter-layer propagation is event-driven,
-    // O(spikes) instead of O(channels×steps)); the per-unit tap association
-    // is unchanged, so conv output is bitwise-equal across backends.
+    // conv_accumulate / pool_forward are the shared event-driven kernels
+    // (conv scatter, fired-list pooling); on this backend the layer graph
+    // feeds conv per-step SLICES of the presentation's SpikeEventList.
     t.poisson_encode_events = poisson_encode_events_cpu;
     t.regular_encode_events = regular_encode_events_cpu;
     t.sparse_accumulate = sparse_accumulate_cpu;

@@ -332,8 +332,8 @@ std::vector<LayerShape> compute_shapes(const GraphConfig& config) {
       }
       case LayerKind::kPool: {
         PSS_REQUIRE(!saw_wta, "pool layers must precede the WTA blocks");
-        // Pooling OR-reduces a spike-flag plane; the encoder emits event
-        // lists, not flags, so a pool layer needs a conv/pool predecessor.
+        // Pooling downsamples a front-end layer's spike map; the encoded
+        // input feeds conv or WTA layers directly.
         PSS_REQUIRE(shapes.size() > 1,
                     "a pool layer must follow a conv or pool layer");
         LayerShape out;

@@ -91,6 +91,7 @@ NetworkGraph::NetworkGraph(const GraphConfig& config, Engine* engine)
               ? std::exp(-config_.wta_base.dt / spec.conv.decay_ms)
               : 0.0;
       layer.lif = conv_lif_parameters(spec.conv);
+      layer.accumulator.assign(layer.out.units(), 0.0);
     }
     front_.push_back(std::move(layer));
   }
@@ -264,6 +265,7 @@ void NetworkGraph::run_front_segment(std::span<const double> rates_hz,
         cargs.amplitude = layer.spec.conv.gain;
         cargs.decay_factor = layer.decay_factor;
         cargs.currents = pool_->currents(layer.population);
+        cargs.accumulator = layer.accumulator;
         kernels.conv_accumulate(engine, cargs);
 
         LifStepArgs largs;
@@ -280,8 +282,7 @@ void NetworkGraph::run_front_segment(std::span<const double> rates_hz,
         kernels.lif_step(engine, largs);
       } else {
         PoolForwardArgs pargs;
-        pargs.spiked = pool_->spiked(front_[li - 1].population);
-        pargs.channels = layer.in.channels;
+        pargs.fired = active;
         pargs.in_width = layer.in.width;
         pargs.in_height = layer.in.height;
         pargs.window = layer.spec.pool.window;

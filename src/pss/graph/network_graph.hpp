@@ -7,12 +7,15 @@
 //      dense per-step Bernoulli on cpu/cpu_simd, a SpikeEventList built once
 //      and sliced per step on event-driven backends (sparse inter-layer
 //      propagation).
-//   2. Each conv layer gathers the step's active list through its fixed
-//      DoG/Gabor filter bank (conv_accumulate kernel) into per-unit currents
-//      and advances its integrate-and-fire population (lif_step kernel over
-//      a dedicated StatePool population segment); fired units are compacted
-//      into the next layer's active list. Pool layers OR-reduce spike flags
-//      spatially (pool_forward kernel).
+//   2. Each conv layer scatters the step's active list through its fixed
+//      DoG/Gabor filter bank (conv_accumulate kernel): every active input
+//      adds its tap only into the units whose window covers it, so the cost
+//      scales with spikes, not units. It then advances its integrate-and-
+//      fire population (lif_step kernel over a dedicated StatePool
+//      population segment); fired units are compacted into the next layer's
+//      ascending active list. Pool layers walk that fired list and set the
+//      flag of each fired unit's window (pool_forward kernel), touching only
+//      windows that contain a spike.
 //   3. Per-presentation spike counts of the last front-end layer are recoded
 //      to rates (counts → Hz over the presentation duration) and fed to the
 //      WTA blocks, each an embedded WtaNetwork presenting in sequence; block
@@ -128,6 +131,7 @@ class NetworkGraph {
     LayerShape out;
     PopulationHandle population = 0;
     std::vector<double> filters;  ///< conv only, [f][c][ky][kx]
+    std::vector<double> accumulator;  ///< conv only, per-unit scatter scratch
     double decay_factor = 0.0;    ///< conv current decay per step
     LifParameters lif;            ///< conv unit parameters
   };

@@ -402,6 +402,8 @@ TEST(SparseBackend, MatchesDenseBackendStatistically) {
 // count (kernels.hpp): conv taps accumulate in ascending active order, pool
 // is pure flag work. Run one geometry across {cpu, cpu_simd, cpu_sparse} ×
 // worker counts and assert exact equality against the cpu/1-worker result.
+// Grain 0 makes every launch dispatch to the pool: the geometries are far
+// below Engine::kDefaultGrain and would otherwise run inline.
 
 struct ConvGeometry {
   static constexpr std::size_t kFilters = 3;
@@ -431,8 +433,10 @@ struct ConvGeometry {
   /// Two accumulate steps (clear, then decay 0.5) on `name`/`workers`.
   std::vector<double> run(const std::string& name, std::size_t workers) const {
     Engine engine(workers);
+    engine.set_grain(0);
     auto backend = make_backend(name);
     std::vector<double> currents(kFilters * kOutH * kOutW, 0.0);
+    std::vector<double> accumulator(currents.size());
     ConvAccumulateArgs args;
     args.filters = filters;
     args.filter_count = kFilters;
@@ -447,6 +451,7 @@ struct ConvGeometry {
     args.amplitude = 0.8;
     args.decay_factor = 0.0;
     args.currents = currents;
+    args.accumulator = accumulator;
     backend->kernels().conv_accumulate(engine, args);
     args.decay_factor = 0.5;
     backend->kernels().conv_accumulate(engine, args);
@@ -472,19 +477,19 @@ TEST(GraphKernels, PoolForwardIsIdenticalAcrossBackendsAndWorkers) {
   constexpr std::size_t kChannels = 3, kInW = 7, kInH = 5, kWindow = 2;
   constexpr std::size_t kOutW = (kInW + kWindow - 1) / kWindow;
   constexpr std::size_t kOutH = (kInH + kWindow - 1) / kWindow;
-  std::vector<std::uint8_t> spiked(kChannels * kInH * kInW, 0);
-  for (std::size_t i = 0; i < spiked.size(); ++i) {
-    spiked[i] = (i * 5 + 1) % 3 == 0 ? 1 : 0;
+  std::vector<ChannelIndex> fired;
+  for (std::size_t i = 0; i < kChannels * kInH * kInW; ++i) {
+    if ((i * 5 + 1) % 3 == 0) fired.push_back(static_cast<ChannelIndex>(i));
   }
 
   auto run = [&](const std::string& name, std::size_t workers) {
     Engine engine(workers);
+    engine.set_grain(0);
     auto backend = make_backend(name);
     std::vector<std::uint8_t> pooled(kChannels * kOutH * kOutW, 0);
     std::vector<std::uint32_t> counts(pooled.size(), 0);
     PoolForwardArgs args;
-    args.spiked = spiked;
-    args.channels = kChannels;
+    args.fired = fired;
     args.in_width = kInW;
     args.in_height = kInH;
     args.window = kWindow;

@@ -7,6 +7,9 @@
 //    pure function of the presentation index (replay);
 //  * layer-wise training — conv→pool→WTA beats chance on SyntheticDigits
 //    and a Gabor front-end beats chance on the temporal-gesture workload;
+//  * golden digest — a tiny stacked train/label/eval run and a temporal
+//    sequence pinned by one FNV-1a digest of spikes, conductances and
+//    predictions;
 //  * serialization — PSSSNAP2 and checkpoint-v2 roundtrips, the unified
 //    model reader, and a committed pre-graph v1 checkpoint fixture that
 //    must roundtrip bitwise through the stacked reader/writer.
@@ -330,6 +333,99 @@ TEST(GraphTraining, LearnBlockSkipsLaterBlocks) {
   EXPECT_EQ(r.layer_spikes.back(), 0u);
   const GraphResult full = g.present_image(test_frame(1), 60.0, -1);
   EXPECT_EQ(full.spike_counts.size(), 16u);
+}
+
+// ---------------------------------------------------------- golden digest
+
+/// 64-bit FNV-1a over raw bytes: folds every value the digest pins.
+struct Fnv1a {
+  std::uint64_t hash = 0xcbf29ce484222325ull;
+
+  void bytes(const void* data, std::size_t size) {
+    const auto* p = static_cast<const unsigned char*>(data);
+    for (std::size_t i = 0; i < size; ++i) {
+      hash = (hash ^ p[i]) * 0x100000001b3ull;
+    }
+  }
+  template <typename T>
+  void values(const std::vector<T>& v) {
+    bytes(v.data(), v.size() * sizeof(T));
+  }
+  template <typename T>
+  void value(T v) {
+    bytes(&v, sizeof(v));
+  }
+};
+
+void fold_result(Fnv1a& digest, const GraphResult& r) {
+  digest.value(r.input_spikes);
+  digest.values(r.layer_spikes);
+  digest.values(r.spike_counts);
+}
+
+void fold_blocks(Fnv1a& digest, const NetworkGraph& g) {
+  for (std::size_t b = 0; b < g.block_count(); ++b) {
+    const NetworkSnapshot snap = NetworkSnapshot::capture(g.block(b));
+    digest.values(snap.conductance);
+    digest.values(snap.theta);
+  }
+}
+
+// End-to-end "same behaviour" pin for the conv/pool front-end: a tiny
+// conv→pool→wta stack trained, labelled and evaluated on digits, plus one
+// two-channel temporal-diff Gabor sequence. The digest covers per-layer
+// spike counts, final conductances and predictions, so any change to a
+// front-end kernel's results (or to draw indexing) moves it. The expected
+// value was captured before the kernels became event-driven; an intended
+// behaviour change must update it in the same commit.
+TEST(GraphGolden, StackedPipelineDigestIsPinned) {
+  Fnv1a digest;
+
+  SyntheticConfig synth;
+  synth.train_count = 24;
+  synth.test_count = 24;
+  synth.seed = 7;
+  const LabeledDataset data = make_synthetic_digits(synth);
+  GraphConfig cfg = graph::graph_config_from_spec(
+      "conv:filters=6,kernel=7,stride=2;pool:window=2;wta:neurons=30",
+      base_config(3));
+  cfg.input = graph::LayerShape{1, 28, 28};
+  NetworkGraph g(cfg);
+  graph::GraphTrainerConfig tc;
+  tc.t_learn_ms = 100.0;
+  tc.t_readout_ms = 100.0;
+  graph::GraphTrainer trainer(g, tc);
+  trainer.train(data.train);
+  const auto [label_set, eval_set] = data.labelling_split(12);
+  EXPECT_GT(trainer.label(label_set), 0u);
+  digest.values(g.neuron_labels());
+  std::size_t fired = 0;
+  for (const Image& image : eval_set.images()) {
+    const GraphResult r = g.present_image(image, tc.t_readout_ms, -1);
+    fold_result(digest, r);
+    fired += r.layer_spikes[0] > 0 ? 1 : 0;
+    digest.value(graph::graph_predict(r.spike_counts, g.neuron_labels(),
+                                      g.class_count()));
+  }
+  EXPECT_EQ(fired, eval_set.size()) << "conv layer must fire on every image";
+  fold_blocks(digest, g);
+
+  GraphConfig seq_cfg = graph::graph_config_from_spec(
+      "encode:temporal=diff;conv:filters=4,kernel=7,stride=3,bank=gabor;"
+      "pool:window=2;wta:neurons=16",
+      base_config(23));
+  seq_cfg.input = graph::LayerShape{1, 28, 28};
+  NetworkGraph seq(seq_cfg);
+  ASSERT_EQ(seq.shapes()[0].channels, 2u);
+  GestureConfig gc;
+  gc.frames = 6;
+  SequentialRng rng(5);
+  const GestureSequence sweep = render_gesture(2, gc, rng);
+  fold_result(digest, seq.present_sequence(sweep.frames, 20.0, 0));
+  fold_result(digest, seq.present_sequence(sweep.frames, 20.0, -1));
+  fold_blocks(digest, seq);
+
+  EXPECT_EQ(digest.hash, 0xec3d5402194626c9ull) << std::hex << "digest 0x" << digest.hash;
 }
 
 // ------------------------------------------------------------- serialization

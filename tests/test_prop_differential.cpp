@@ -1,10 +1,11 @@
-// Randomized cross-backend differential runner (ISSUE consumer 2): identical
-// generated workloads driven through every registered CPU backend
-// (cpu / cpu_simd / cpu_sparse) and across worker counts, asserting bitwise
-// equality where the backend contract promises it — conv_accumulate,
-// pool_forward, stdp_row, current_accumulate, inhibit_scan, regular_encode —
-// plus the documented ULP bound for the reassociated cpu_simd fused step and
-// network-level worker-count invariance per backend.
+// Randomized cross-backend differential runner: identical generated
+// workloads driven through every registered CPU backend (cpu / cpu_simd /
+// cpu_sparse) and across worker counts, asserting bitwise equality where the
+// backend contract promises it — conv_accumulate and pool_forward against
+// test-only dense oracles; stdp_row, current_accumulate, inhibit_scan and
+// regular_encode across backends — plus the documented ULP bound for the
+// reassociated cpu_simd fused step and network-level worker-count
+// invariance per backend.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -12,6 +13,7 @@
 #include <cstring>
 #include <limits>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -21,6 +23,8 @@
 #include "pss/network/wta_network.hpp"
 #include "pss/prop/check.hpp"
 #include "pss/prop/generators.hpp"
+
+#include "kernel_oracles.hpp"
 
 namespace pss {
 namespace {
@@ -43,7 +47,7 @@ void assert_bitwise(const std::vector<double>& reference,
                   std::string(what) + ": size mismatch");
   PSS_PROP_ASSERT(std::memcmp(reference.data(), candidate.data(),
                               reference.size() * sizeof(double)) == 0,
-                  std::string(what) + ": backends diverged bitwise");
+                  std::string(what) + ": diverged bitwise");
 }
 
 /// Ascending random subset of [0, units), possibly empty.
@@ -56,115 +60,138 @@ std::vector<ChannelIndex> gen_active(Source& s, std::size_t units,
   return active;
 }
 
-// ---------------------------------------------------------------------------
-// conv_accumulate: fixed tap-accumulation association on every backend —
-// bitwise across the full backend × worker grid, with decay and stride.
+/// One generated conv step: geometry, bank, active list and initial
+/// currents. The generator reaches the scatter kernel's index-math edges:
+/// kernel 1, stride larger than the kernel (pixels in the gaps feed no
+/// unit), trailing rows/columns past the last window, and empty active
+/// lists.
+struct ConvCase {
+  ConvAccumulateArgs geometry;  ///< scalars only; bind() adds the spans
+  std::vector<double> taps;
+  std::vector<ChannelIndex> active;
+  std::vector<double> initial;
 
-TEST(PropDifferential, ConvAccumulateIsBitwiseAcrossBackendsAndWorkers) {
+  ConvAccumulateArgs bind(std::span<double> currents,
+                          std::span<double> accumulator) const {
+    ConvAccumulateArgs a = geometry;
+    a.filters = taps;
+    a.active_pre = active;
+    a.currents = currents;
+    a.accumulator = accumulator;
+    return a;
+  }
+};
+
+ConvCase gen_conv_case(Source& s) {
+  ConvCase cc;
+  ConvAccumulateArgs& a = cc.geometry;
+  a.kernel = s.range(1, 4);
+  a.stride = s.range(1, a.kernel + 2);
+  a.in_height = a.kernel + s.bits(8);
+  a.in_width = a.kernel + s.bits(8);
+  a.in_channels = s.range(1, 2);
+  a.filter_count = s.range(1, 4);
+  a.out_height = (a.in_height - a.kernel) / a.stride + 1;
+  a.out_width = (a.in_width - a.kernel) / a.stride + 1;
+  cc.taps.resize(a.filter_count * a.in_channels * a.kernel * a.kernel);
+  for (double& w : cc.taps) w = s.real(-1.5, 1.5);
+  const double density = s.choose({0.0, 0.05, 0.35, 0.9});
+  cc.active = gen_active(s, a.in_channels * a.in_height * a.in_width, density);
+  a.amplitude = s.real(0.5, 4.0);
+  a.decay_factor = s.boolean(0.5) ? s.real(0.1, 0.95) : 0.0;
+  cc.initial.resize(a.filter_count * a.out_height * a.out_width);
+  for (double& i : cc.initial) i = s.real(-2.0, 2.0);
+  return cc;
+}
+
+// ---------------------------------------------------------------------------
+// conv_accumulate: every backend × worker count is bitwise equal to the
+// gather oracle, with decay, stride gaps and clipped trailing pixels. The
+// accumulator starts as NaN, so a kernel that skips clearing it fails.
+
+TEST(PropDifferential, ConvAccumulateMatchesGatherOracleBitwise) {
   const CheckResult r = prop::check(
       "diff_conv_accumulate",
       [](Source& s) {
-        const std::size_t kernel = s.range(2, 4);
-        const std::size_t stride = s.range(1, 2);
-        const std::size_t in_h = kernel + s.bits(8);
-        const std::size_t in_w = kernel + s.bits(8);
-        const std::size_t in_channels = s.range(1, 2);
-        const std::size_t filters = s.range(1, 4);
-        const std::size_t out_h = (in_h - kernel) / stride + 1;
-        const std::size_t out_w = (in_w - kernel) / stride + 1;
-        std::vector<double> taps(filters * in_channels * kernel * kernel);
-        for (double& w : taps) w = s.real(-1.5, 1.5);
-        const std::vector<ChannelIndex> active =
-            gen_active(s, in_channels * in_h * in_w, 0.35);
-        const double amplitude = s.real(0.5, 4.0);
-        const double decay = s.boolean(0.5) ? s.real(0.1, 0.95) : 0.0;
-        std::vector<double> initial(filters * out_h * out_w);
-        for (double& i : initial) i = s.real(-2.0, 2.0);
+        const ConvCase cc = gen_conv_case(s);
+        std::vector<double> reference = cc.initial;
+        test::conv_gather_oracle(cc.bind(reference, {}));
 
-        std::vector<double> reference;
         for (const char* name : kBackends) {
           for (std::size_t workers : kWorkerGrid) {
             Engine engine(workers);
+            engine.set_grain(0);  // dispatch even these tiny launches
             auto backend = make_backend(name, &engine);
-            std::vector<double> currents = initial;
-            ConvAccumulateArgs args;
-            args.filters = taps;
-            args.filter_count = filters;
-            args.in_channels = in_channels;
-            args.kernel = kernel;
-            args.stride = stride;
-            args.in_width = in_w;
-            args.in_height = in_h;
-            args.out_width = out_w;
-            args.out_height = out_h;
-            args.active_pre = active;
-            args.amplitude = amplitude;
-            args.decay_factor = decay;
-            args.currents = currents;
-            backend->kernels().conv_accumulate(engine, args);
-            if (reference.empty()) {
-              reference = currents;
-            } else {
-              assert_bitwise(reference, currents, "conv_accumulate");
-            }
+            std::vector<double> currents = cc.initial;
+            std::vector<double> accumulator(
+                currents.size(), std::numeric_limits<double>::quiet_NaN());
+            backend->kernels().conv_accumulate(
+                engine, cc.bind(currents, accumulator));
+            assert_bitwise(reference, currents, "conv_accumulate vs oracle");
           }
         }
       },
-      options_with(40));
+      options_with(60));
   EXPECT_TRUE(r.ok()) << r.report();
 }
 
 // ---------------------------------------------------------------------------
-// pool_forward: pure flag/integer work — bit-identical pooled planes and
-// fired-counts everywhere, including clipped edge blocks.
+// pool_forward: the fired-list kernel matches the dense OR-reduce oracle —
+// identical flags and counts everywhere, including clipped edge blocks and
+// stale flags left over from a previous step.
 
-TEST(PropDifferential, PoolForwardIsBitwiseAcrossBackendsAndWorkers) {
+TEST(PropDifferential, PoolForwardMatchesOrReduceOracle) {
   const CheckResult r = prop::check(
       "diff_pool_forward",
       [](Source& s) {
-        const std::size_t window = s.range(2, 3);
-        const std::size_t in_h = s.range(2, 11);  // often not window-aligned
-        const std::size_t in_w = s.range(2, 11);
+        const std::size_t window = s.range(1, 3);
+        const std::size_t in_h = s.range(1, 11);  // often not window-aligned
+        const std::size_t in_w = s.range(1, 11);
         const std::size_t channels = s.range(1, 3);
         const std::size_t out_h = (in_h + window - 1) / window;
         const std::size_t out_w = (in_w + window - 1) / window;
+        const double density = s.choose({0.0, 0.05, 0.3, 0.9});
         std::vector<std::uint8_t> spiked(channels * in_h * in_w);
-        for (auto& f : spiked) f = s.boolean(0.3) ? 1 : 0;
+        std::vector<ChannelIndex> fired;
+        for (std::size_t i = 0; i < spiked.size(); ++i) {
+          spiked[i] = s.boolean(density) ? 1 : 0;
+          if (spiked[i] != 0) fired.push_back(static_cast<ChannelIndex>(i));
+        }
         std::vector<std::uint32_t> initial_counts(channels * out_h * out_w);
         for (auto& c : initial_counts) c = static_cast<uint32_t>(s.bits(9));
 
-        std::vector<std::uint8_t> ref_pooled;
-        std::vector<std::uint32_t> ref_counts;
+        PoolForwardArgs args;
+        args.fired = fired;
+        args.in_width = in_w;
+        args.in_height = in_h;
+        args.window = window;
+        args.out_width = out_w;
+        args.out_height = out_h;
+        std::vector<std::uint8_t> ref_pooled(initial_counts.size());
+        std::vector<std::uint32_t> ref_counts = initial_counts;
+        PoolForwardArgs oracle = args;
+        oracle.pooled = ref_pooled;
+        oracle.pooled_counts = ref_counts;
+        test::pool_or_oracle(spiked, oracle);
+
         for (const char* name : kBackends) {
           for (std::size_t workers : kWorkerGrid) {
             Engine engine(workers);
+            engine.set_grain(0);
             auto backend = make_backend(name, &engine);
-            std::vector<std::uint8_t> pooled(channels * out_h * out_w);
+            std::vector<std::uint8_t> pooled(ref_pooled.size(), 1);
             std::vector<std::uint32_t> counts = initial_counts;
-            PoolForwardArgs args;
-            args.spiked = spiked;
-            args.channels = channels;
-            args.in_width = in_w;
-            args.in_height = in_h;
-            args.window = window;
-            args.out_width = out_w;
-            args.out_height = out_h;
             args.pooled = pooled;
             args.pooled_counts = counts;
             backend->kernels().pool_forward(engine, args);
-            if (ref_pooled.empty() && ref_counts.empty()) {
-              ref_pooled = pooled;
-              ref_counts = counts;
-            } else {
-              PSS_PROP_ASSERT(pooled == ref_pooled,
-                              "pool_forward flags diverged");
-              PSS_PROP_ASSERT(counts == ref_counts,
-                              "pool_forward counts diverged");
-            }
+            PSS_PROP_ASSERT(pooled == ref_pooled,
+                            "pool_forward flags diverged from the oracle");
+            PSS_PROP_ASSERT(counts == ref_counts,
+                            "pool_forward counts diverged from the oracle");
           }
         }
       },
-      options_with(40));
+      options_with(60));
   EXPECT_TRUE(r.ok()) << r.report();
 }
 

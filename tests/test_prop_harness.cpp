@@ -2,9 +2,9 @@
 // replay, shrinker termination/determinism/minimality, check() case
 // accounting and discard budget, env-var repro plumbing — and the two
 // detection drills the harness exists for: a deliberately broken STDP bound
-// and a deliberate one-ULP cross-backend divergence must both be caught
-// with a one-line PSS_PROP_SEED/PSS_PROP_CASE recipe that reproduces the
-// failure deterministically.
+// and a deliberate one-ULP conv divergence from the kernel oracle must both
+// be caught with a one-line PSS_PROP_SEED/PSS_PROP_CASE recipe that
+// reproduces the failure deterministically.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -25,6 +25,8 @@
 #include "pss/robust/fault_injection.hpp"
 #include "pss/synapse/parameter_registry.hpp"
 #include "pss/synapse/stdp_updater.hpp"
+
+#include "kernel_oracles.hpp"
 
 namespace pss {
 namespace {
@@ -332,12 +334,13 @@ TEST(PropDetection, BrokenStdpBoundIsCaughtWithReproducibleRepro) {
 }
 
 // ---------------------------------------------------------------------------
-// Detection drill 2 (acceptance criterion): a one-ULP divergence in the
-// cpu_simd conv kernel's results is caught by the differential property.
+// Detection drill 2 (acceptance criterion): a one-ULP divergence between the
+// cpu conv kernel and the test-only gather oracle is caught by the
+// differential property.
 
 TEST(PropDetection, OneUlpBackendDivergenceIsCaughtWithReproducibleRepro) {
   const auto property = [](Source& s) {
-    // Small generated conv workload, run on cpu and cpu_simd.
+    // Small generated conv workload, run on the oracle and on cpu.
     const std::size_t kernel = s.range(2, 3);
     const std::size_t in_h = s.range(kernel, 6);
     const std::size_t in_w = s.range(kernel, 6);
@@ -352,45 +355,45 @@ TEST(PropDetection, OneUlpBackendDivergenceIsCaughtWithReproducibleRepro) {
     }
     const double amplitude = s.real(0.5, 3.0);
 
-    Engine engine(1);
     std::vector<double> reference(filters * out_h * out_w, 0.0);
-    std::vector<double> simd(reference);
-    for (auto [name, currents] :
-         {std::pair<const char*, std::vector<double>*>{"cpu", &reference},
-          {"cpu_simd", &simd}}) {
-      ConvAccumulateArgs args;
-      args.filters = filter_taps;
-      args.filter_count = filters;
-      args.in_channels = 1;
-      args.kernel = kernel;
-      args.stride = 1;
-      args.in_width = in_w;
-      args.in_height = in_h;
-      args.out_width = out_w;
-      args.out_height = out_h;
-      args.active_pre = active;
-      args.amplitude = amplitude;
-      args.decay_factor = 0.0;
-      args.currents = *currents;
-      make_backend(name)->kernels().conv_accumulate(engine, args);
-    }
-    // The deliberate divergence: nudge one cpu_simd output by one ULP.
-    if (!simd.empty() && simd[0] != 0.0) {
-      simd[0] = std::nextafter(simd[0], 1e308);
+    std::vector<double> cpu(reference);
+    std::vector<double> accumulator(reference.size());
+    ConvAccumulateArgs args;
+    args.filters = filter_taps;
+    args.filter_count = filters;
+    args.in_channels = 1;
+    args.kernel = kernel;
+    args.stride = 1;
+    args.in_width = in_w;
+    args.in_height = in_h;
+    args.out_width = out_w;
+    args.out_height = out_h;
+    args.active_pre = active;
+    args.amplitude = amplitude;
+    args.decay_factor = 0.0;
+    args.currents = reference;
+    test::conv_gather_oracle(args);
+    Engine engine(1);
+    args.currents = cpu;
+    args.accumulator = accumulator;
+    make_backend("cpu")->kernels().conv_accumulate(engine, args);
+    // The deliberate divergence: nudge one cpu output by one ULP.
+    if (!cpu.empty() && cpu[0] != 0.0) {
+      cpu[0] = std::nextafter(cpu[0], 1e308);
     }
     PSS_PROP_ASSERT(
-        std::memcmp(reference.data(), simd.data(),
+        std::memcmp(reference.data(), cpu.data(),
                     reference.size() * sizeof(double)) == 0,
-        "conv_accumulate diverged between cpu and cpu_simd");
+        "conv_accumulate diverged between the gather oracle and cpu");
   };
-  const CheckResult r = prop::check("sabotaged_simd_divergence", property,
+  const CheckResult r = prop::check("sabotaged_conv_divergence", property,
                                     quiet_options(150));
   ASSERT_TRUE(r.failed) << "harness failed to catch the one-ULP divergence";
   std::printf("caught one-ULP backend divergence; repro: %s\n",
               r.repro().c_str());
   EXPECT_NE(r.repro().find("PSS_PROP_CASE="), std::string::npos);
 
-  const CheckResult replay = prop::run_case("sabotaged_simd_divergence",
+  const CheckResult replay = prop::run_case("sabotaged_conv_divergence",
                                             property, r.seed,
                                             r.failing_case);
   ASSERT_TRUE(replay.failed);

@@ -424,13 +424,16 @@ TEST(GraphInvariant, PoolFlagSetIffWindowHasSpike) {
     const std::size_t steps = 1 + rng.below(4);
 
     std::vector<std::uint8_t> spiked(channels * in_h * in_w);
-    for (auto& s : spiked) s = rng.uniform() < 0.3 ? 1 : 0;
+    std::vector<ChannelIndex> fired;
+    for (std::size_t i = 0; i < spiked.size(); ++i) {
+      spiked[i] = rng.uniform() < 0.3 ? 1 : 0;
+      if (spiked[i] != 0) fired.push_back(static_cast<ChannelIndex>(i));
+    }
     std::vector<std::uint8_t> pooled(channels * out_h * out_w, 0);
     std::vector<std::uint32_t> counts(pooled.size(), 0);
 
     PoolForwardArgs args;
-    args.spiked = spiked;
-    args.channels = channels;
+    args.fired = fired;
     args.in_width = in_w;
     args.in_height = in_h;
     args.window = window;
@@ -496,6 +499,7 @@ TEST(GraphInvariant, ConvAccumulateCommutesWithFilterPermutation) {
   auto backend = make_backend("cpu");
   auto run = [&](std::span<const double> bank) {
     std::vector<double> currents(kFilters * kOutH * kOutW, 0.0);
+    std::vector<double> accumulator(currents.size());
     ConvAccumulateArgs args;
     args.filters = bank;
     args.filter_count = kFilters;
@@ -510,6 +514,7 @@ TEST(GraphInvariant, ConvAccumulateCommutesWithFilterPermutation) {
     args.amplitude = 1.5;
     args.decay_factor = 0.0;
     args.currents = currents;
+    args.accumulator = accumulator;
     backend->kernels().conv_accumulate(engine, args);
     return currents;
   };
